@@ -4,7 +4,7 @@ GO ?= go
 TORTURE_SEEDS ?= 100
 TORTURE_SMOKE_SEEDS ?= 25
 
-.PHONY: all verify race vet fmt staticcheck lint torture torture-smoke bench-smoke baseline metrics-smoke flightrec-smoke hotspots-smoke mvcc-smoke deferred-smoke viewdag-smoke freshness-smoke scrub-smoke scrub-long
+.PHONY: all verify race vet fmt staticcheck lint torture torture-smoke bench-smoke bench-selftest baseline metrics-smoke flightrec-smoke hotspots-smoke mvcc-smoke deferred-smoke viewdag-smoke freshness-smoke scrub-smoke scrub-long
 
 all: verify
 
@@ -120,6 +120,12 @@ torture-smoke:
 bench-smoke:
 	$(GO) run ./cmd/viewbench -exp F2,T5R,F9D,DAG -smoke -freshness -scrub 25ms -json BENCH_fresh.json -metrics BENCH_fresh_metrics.json -flight-sink BENCH_fresh_flight.jsonl
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -fresh BENCH_fresh.json -require F2,T5R,F9D,DAG -freshness-threshold 4
+
+# Benchmark self-test: vtxnbench is its own module, so root ./... skips it.
+# A tiny run of every workload must pass its checks and print every metric
+# BENCHMARK.json names, and each injected fault must fail the checks.
+bench-selftest:
+	cd vtxnbench && $(GO) test .
 
 # Observability smoke: run the headline experiment with metrics + tracing on
 # and pretty-print the snapshot — a quick eyeball check that every series is

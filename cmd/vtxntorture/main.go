@@ -3,18 +3,21 @@
 // crashes at named engine points) and a deterministic single-client workload;
 // the run crashes the engine mid-flight, recovers, and asserts that every
 // indexed view again equals a recompute from its base tables. A failure
-// prints the exact seed, so any bug it finds replays byte-for-byte with
+// prints the exact seed and op budget, so any bug it finds replays
+// byte-for-byte with
 //
-//	go run ./cmd/vtxntorture -seed N -v
+//	go run ./cmd/vtxntorture -seed N -ops M -v
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -24,17 +27,47 @@ import (
 // and outlier lock waits are visible while hunting a seed.
 var slowTracer metrics.Tracer
 
+// config is the parsed command line.
+type config struct {
+	seeds     int
+	start     int64
+	seed      int64 // >= 0 runs this one seed
+	ops       int
+	verbose   bool
+	traceSlow time.Duration
+	artifacts string
+}
+
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("vtxntorture", flag.ContinueOnError)
+	fs.IntVar(&c.seeds, "seeds", 25, "number of consecutive seeds to run")
+	fs.Int64Var(&c.start, "start", 0, "first seed of the range")
+	fs.Int64Var(&c.seed, "seed", -1, "run a single seed and exit (overrides -seeds/-start)")
+	fs.IntVar(&c.ops, "ops", 400, "workload operations per episode before the planned shutdown")
+	fs.BoolVar(&c.verbose, "v", false, "log each seed's schedule, crash, and recovery summary")
+	fs.DurationVar(&c.traceSlow, "trace-slow", 0, "log engine trace events slower than this to stderr (0 disables)")
+	fs.StringVar(&c.artifacts, "artifacts", "torture-artifacts", "write failed episodes' flight-record dumps and replay info under this dir ('' disables)")
+	return c, fs.Parse(args)
+}
+
+// reproduce is the command that replays one episode: the seed and the op
+// budget are everything an episode derives from (-trace-slow and -artifacts
+// only add output).
+func reproduce(seed int64, ops int) string {
+	return fmt.Sprintf("go run ./cmd/vtxntorture -seed %d -ops %d -v", seed, ops)
+}
+
 func main() {
-	seeds := flag.Int("seeds", 25, "number of consecutive seeds to run")
-	start := flag.Int64("start", 0, "first seed of the range")
-	one := flag.Int64("seed", -1, "run a single seed and exit (overrides -seeds/-start)")
-	ops := flag.Int("ops", 400, "workload operations per episode before the planned shutdown")
-	verbose := flag.Bool("v", false, "log each seed's schedule, crash, and recovery summary")
-	traceSlow := flag.Duration("trace-slow", 0, "log engine trace events slower than this to stderr (0 disables)")
-	artifacts := flag.String("artifacts", "torture-artifacts", "write failed episodes' flight-record dumps and replay info under this dir ('' disables)")
-	flag.Parse()
-	if *traceSlow > 0 {
-		slowTracer = metrics.NewSlowLogger(os.Stderr, *traceSlow, "torture ")
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if cfg.traceSlow > 0 {
+		slowTracer = metrics.NewSlowLogger(os.Stderr, cfg.traceSlow, "torture ")
 	}
 	// SIGQUIT dumps the running episode's flight record without stopping the
 	// harness.
@@ -48,13 +81,13 @@ func main() {
 		}
 	}()
 
-	lo, hi := *start, *start+int64(*seeds)
-	if *one >= 0 {
-		lo, hi = *one, *one+1
-		*verbose = true
+	lo, hi := cfg.start, cfg.start+int64(cfg.seeds)
+	if cfg.seed >= 0 {
+		lo, hi = cfg.seed, cfg.seed+1
+		cfg.verbose = true
 	}
 	logf := func(format string, a ...any) {
-		if *verbose {
+		if cfg.verbose {
 			fmt.Printf(format+"\n", a...)
 		}
 	}
@@ -62,19 +95,19 @@ func main() {
 	failures := 0
 	counts := map[string]int{}
 	for seed := lo; seed < hi; seed++ {
-		res := runSeed(seed, *ops, logf)
+		res := runSeed(seed, cfg.ops, logf)
 		counts[category(res)]++
 		if res.err != nil {
 			failures++
 			fmt.Printf("FAIL seed=%d (%s): %v\n", seed, res.schedule, res.err)
-			if *artifacts != "" {
-				if dir, aerr := writeArtifacts(*artifacts, res); aerr != nil {
+			if cfg.artifacts != "" {
+				if dir, aerr := writeArtifacts(cfg.artifacts, res); aerr != nil {
 					fmt.Printf("  (writing artifacts failed: %v)\n", aerr)
 				} else {
 					fmt.Printf("  artifacts: %s (flightrec.txt, flightrec.jsonl, repro.txt)\n", dir)
 				}
 			}
-			fmt.Printf("  reproduce: go run ./cmd/vtxntorture -seed %d -v\n", seed)
+			fmt.Printf("  reproduce: %s\n", reproduce(seed, res.ops))
 		}
 	}
 	fmt.Printf("vtxntorture: %d seeds [%d,%d): %d crashed (%d point, %d write, %d fsync), %d clean shutdowns; %d failures\n",

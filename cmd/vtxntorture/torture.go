@@ -39,8 +39,8 @@ func writeArtifacts(dir string, res result) (string, error) {
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return "", err
 	}
-	repro := fmt.Sprintf("seed: %d\nschedule: %s\nerror: %v\nreproduce: go run ./cmd/vtxntorture -seed %d -v\n",
-		res.seed, res.schedule, res.err, res.seed)
+	repro := fmt.Sprintf("seed: %d\nschedule: %s\nerror: %v\nreproduce: %s\n",
+		res.seed, res.schedule, res.err, reproduce(res.seed, res.ops))
 	if err := os.WriteFile(filepath.Join(sub, "repro.txt"), []byte(repro), 0o644); err != nil {
 		return "", err
 	}
@@ -60,6 +60,7 @@ func writeArtifacts(dir string, res result) (string, error) {
 // result summarizes one torture episode.
 type result struct {
 	seed     int64
+	ops      int    // the episode's op budget
 	schedule string // the injector's fault schedule, rendered
 	crashed  bool   // the scheduled fault fired
 	cause    string // what fired ("" for a clean shutdown)
@@ -101,7 +102,7 @@ type episode struct {
 // shape, every row it touches, and the fault schedule — derives from seed, so
 // a failure reproduces exactly under the same seed.
 func runSeed(seed int64, ops int, logf func(format string, a ...any)) (res result) {
-	res.seed = seed
+	res.seed, res.ops = seed, ops
 	e := &episode{seed: seed, ops: ops, logf: logf}
 	dir, err := os.MkdirTemp("", fmt.Sprintf("vtxntorture-%d-", seed))
 	if err != nil {

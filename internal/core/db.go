@@ -512,7 +512,12 @@ func (db *DB) Stats() Stats {
 // restart's recovery phases. Its JSON encoding is a stable schema.
 func (db *DB) Metrics() metrics.Snapshot {
 	now := time.Now()
+	// Snap reads the per-shard lock waits and hotspots() the per-key ones;
+	// Attr keeps a wait from landing between the two reads.
+	db.met.Lock.Attr.Lock()
 	s := db.met.Snap()
+	s.Hotspots = db.hotspots()
+	db.met.Lock.Attr.Unlock()
 	s.Engine = metrics.EngineSnapshot{
 		Commits:        db.commits.Load(),
 		Aborts:         db.aborts.Load(),
@@ -521,7 +526,6 @@ func (db *DB) Metrics() metrics.Snapshot {
 		UptimeNs:       now.Sub(db.started).Nanoseconds(),
 		SnapshotUnixNs: now.UnixNano(),
 	}
-	s.Hotspots = db.hotspots()
 	s.MVCC.Snapshots = db.oracle.SnapshotsBegun()
 	s.MVCC.ActiveSnapshots = db.oracle.ActiveSnapshots()
 	s.MVCC.OldestSnapshotAgeNs = db.oracle.OldestSnapshotAge(now).Nanoseconds()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/id"
+	"repro/internal/metrics"
 )
 
 var res1 = KeyResource(1, []byte("a"))
@@ -430,4 +431,49 @@ func BenchmarkEscrowSharedGrant(b *testing.B) {
 			m.ReleaseAll(txn)
 		}
 	})
+}
+
+// probeSketch stands in for the wait sketch and checks, from inside the
+// attribution, whether a snapshot could run at that moment.
+type probeSketch struct {
+	met        *metrics.LockMetrics
+	adds       int
+	unguarded  int
+	shardAtAdd int64
+	shard      *metrics.ShardWait
+}
+
+func (s *probeSketch) Add(k metrics.HotKey, val, cnt int64) {
+	s.adds++
+	if s.met.Attr.TryLock() {
+		s.met.Attr.Unlock()
+		s.unguarded++
+	}
+	s.shardAtAdd = s.shard.WaitNs.Load()
+}
+
+// TestWaitAttributionExcludesSnapshots: a snapshot reads the shard waits and
+// the wait sketch under LockMetrics.Attr, so while a wait is being added to
+// both, no snapshot may start. Otherwise a snapshot can count a convoy's wait
+// in its shard but not in the sketch (or the reverse), and the watchdog
+// reports the convoy without naming its group.
+func TestWaitAttributionExcludesSnapshots(t *testing.T) {
+	var met metrics.LockMetrics
+	m := NewManagerOpts(Options{Metrics: &met})
+	defer m.Close()
+	probe := &probeSketch{met: &met, shard: met.Shard(int(m.shardIndex(res1)))}
+	m.hot = probe
+	if err := m.Lock(1, res1, ModeX, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(2, res1, ModeX, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("blocked lock = %v, want timeout", err)
+	}
+	if probe.adds != 1 || probe.unguarded != 0 {
+		t.Fatalf("sketch adds = %d, %d of them open to a snapshot", probe.adds, probe.unguarded)
+	}
+	// Same hold: the shard already counts the wait the sketch is receiving.
+	if probe.shardAtAdd <= 0 || probe.shard.WaitNs.Load() != probe.shardAtAdd {
+		t.Fatalf("shard wait %d at the sketch add, %d after", probe.shardAtAdd, probe.shard.WaitNs.Load())
+	}
 }

@@ -156,6 +156,9 @@ type Manager struct {
 	// may be nil (standalone managers) — observation paths are nil-safe.
 	met    *metrics.LockMetrics
 	tracer metrics.Tracer
+	// hot is met.Hot, the per-key wait sketch; a test substitutes it to
+	// observe the attribution from inside.
+	hot hotSketch
 
 	// DefaultTimeout bounds waits when Lock is called with timeout 0.
 	DefaultTimeout time.Duration
@@ -209,6 +212,7 @@ func NewManagerOpts(o Options) *Manager {
 	}
 	if m.met != nil {
 		m.met.InitShards(n)
+		m.hot = m.met.Hot
 	}
 	for i := range m.shards {
 		m.shards[i] = newShard()
@@ -404,6 +408,11 @@ func (m *Manager) raceDrain(s *shard, res Resource, ls *lockState, req *request)
 	return errDropped
 }
 
+// hotSketch is the part of metrics.Sketch that wait attribution uses.
+type hotSketch interface {
+	Add(k metrics.HotKey, val, cnt int64)
+}
+
 // observeWait attributes one resolved blocked acquisition to metrics and the
 // tracer. Outcome is derived from err: nil grant, deadlock victim, or
 // timeout/cancel.
@@ -420,6 +429,10 @@ func (m *Manager) observeWait(idx uint32, txn id.Txn, res Resource, mode Mode, w
 	}
 	if m.met != nil {
 		m.met.Wait.Observe(wait)
+		// The shard's counters and the key's sketch entry change under one
+		// shared hold of Attr, so a snapshot sees this wait in both or in
+		// neither (see metrics.LockMetrics.Attr).
+		m.met.Attr.RLock()
 		if sw := m.met.Shard(int(idx)); sw != nil {
 			sw.Waits.Add(1)
 			sw.WaitNs.Add(wait.Nanoseconds())
@@ -433,9 +446,10 @@ func (m *Manager) observeWait(idx uint32, txn id.Txn, res Resource, mode Mode, w
 		// Attribute the wait to the actual key resource (tree-level and
 		// intention locks carry no key and stay stripe-attributed only).
 		if res.Key != "" {
-			m.met.Hot.Add(metrics.HotKey{Tree: res.Tree, Key: res.Key},
+			m.hot.Add(metrics.HotKey{Tree: res.Tree, Key: res.Key},
 				wait.Nanoseconds(), 1)
 		}
+		m.met.Attr.RUnlock()
 	}
 	if m.tracer != nil {
 		m.tracer.TraceEvent(metrics.Event{

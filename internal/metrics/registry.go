@@ -1,12 +1,14 @@
 package metrics
 
 import (
+	"sync"
 	"sync/atomic"
 )
 
 // Registry is the engine metrics registry: one per DB instance, created at
 // Open and handed by sub-struct pointer to each subsystem. All fields are
-// atomic; observation never takes a lock.
+// atomic; observation takes no lock except the shared hold of
+// LockMetrics.Attr when a blocked lock acquisition resolves.
 type Registry struct {
 	Txn      TxnMetrics
 	Lock     LockMetrics
@@ -79,6 +81,13 @@ type LockMetrics struct {
 	// key resource waited on (the registry aliases Hot.LockWait here so the
 	// lock manager needs no registry reference). Nil-safe.
 	Hot *Sketch
+
+	// Attr pairs a wait's two attributions. The lock manager holds it shared
+	// while it adds one wait to a shard and to Hot; a snapshot that reads
+	// both holds it exclusively. Each snapshot then has every wait in both or
+	// in neither, so the per-shard and per-key wait deltas between two
+	// snapshots agree (the watchdog names a convoy's group from them).
+	Attr sync.RWMutex
 
 	shards []ShardWait
 }

@@ -29,8 +29,9 @@ type Summary struct {
 	Torn      bool   // the log had a torn tail that was truncated
 	Fresh     bool   // no prior state existed
 
-	// Phase durations: analysis = snapshot load, redo = log repair + replay,
-	// undo = loser rollback (all zero for a fresh database).
+	// Phase durations: analysis = snapshot load, redo = the one pass that
+	// replays the log and truncates its torn tail, undo = loser rollback
+	// (all zero for a fresh database).
 	Analysis time.Duration
 	Redo     time.Duration
 	Undo     time.Duration
@@ -49,13 +50,13 @@ type State struct {
 // Catalog returns the recovered catalog.
 func (s *State) Catalog() *catalog.Catalog { return s.Reg.Catalog() }
 
-// txnInfo tracks one transaction seen in the log.
+// txnInfo tracks one unfinished transaction seen in the log: only what undo
+// needs if it turns out to be a loser.
 type txnInfo struct {
-	began    bool
-	finished bool
-	sys      bool
-	ops      []*wal.Record
-	undone   map[uint64]bool // LSNs already compensated by CLRs
+	began  bool
+	sys    bool
+	ops    []*wal.Record
+	undone map[uint64]bool // LSNs already compensated by CLRs; nil until the first
 }
 
 // Run recovers the database in dirPath, creating it if absent.
@@ -103,45 +104,45 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 		return tr
 	}
 
-	// Redo pass: repair the torn tail, then replay every record in order.
+	// Redo pass: one scan replays every intact record in order, then
+	// truncates the torn tail. A transaction leaves txns when its commit or
+	// abort-end is replayed, so only losers' ops are retained for undo.
 	phaseStart = time.Now()
-	scanRes, err := wal.RepairFS(fsys, dir.LogPath(gen))
-	if err != nil {
-		return nil, err
-	}
 	txns := make(map[id.Txn]*txnInfo)
-	info := func(t id.Txn) *txnInfo {
-		ti := txns[t]
-		if ti == nil {
-			ti = &txnInfo{undone: make(map[uint64]bool)}
-			txns[t] = ti
-		}
-		return ti
-	}
-	sum := Summary{Gen: gen, Torn: scanRes.Torn}
+	sum := Summary{Gen: gen}
 	maxTxn := id.Txn(0)
-	_, err = wal.ScanFS(fsys, dir.LogPath(gen), func(rec *wal.Record) error {
+	scanRes, err := wal.RepairFS(fsys, dir.LogPath(gen), func(rec *wal.Record) error {
 		if rec.Txn > maxTxn {
 			maxTxn = rec.Txn
 		}
-		ti := info(rec.Txn)
+		sum.Replayed++
+		if rec.Type == wal.TCommit || rec.Type == wal.TAbortEnd {
+			delete(txns, rec.Txn)
+			return apply.Apply(reg, source, rec)
+		}
+		ti := txns[rec.Txn]
+		if ti == nil {
+			ti = &txnInfo{}
+			txns[rec.Txn] = ti
+		}
 		switch rec.Type {
 		case wal.TBegin:
 			ti.began = true
 			ti.sys = rec.Sys
-		case wal.TCommit, wal.TAbortEnd:
-			ti.finished = true
 		case wal.TCLR:
+			if ti.undone == nil {
+				ti.undone = make(map[uint64]bool)
+			}
 			ti.undone[rec.UndoneLSN] = true
 		default:
 			ti.ops = append(ti.ops, rec)
 		}
-		sum.Replayed++
 		return apply.Apply(reg, source, rec)
 	})
 	if err != nil {
 		return nil, err
 	}
+	sum.Torn = scanRes.Torn
 	sum.Redo = time.Since(phaseStart)
 
 	// Open the log for appending undo records and new work.
@@ -154,7 +155,7 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 	// operations already compensated before the crash.
 	phaseStart = time.Now()
 	for tid, ti := range txns {
-		if !ti.began || ti.finished {
+		if !ti.began {
 			continue
 		}
 		sum.Losers++

@@ -184,16 +184,27 @@ func DecodeRecord(buf []byte) (*Record, error) {
 	}
 	buf = buf[n:]
 	r.Tree = id.Tree(tree)
-	var err error
-	if r.Key, buf, err = takeFramed(buf); err != nil {
-		return nil, err
+	// Key, OldVal and NewVal share one owned copy of their bytes (buf is the
+	// caller's and may be reused). Each is a cap-limited sub-slice, so an
+	// append to one reallocates instead of overwriting the next.
+	var fields [3][]byte
+	var size int
+	for i := range fields {
+		var err error
+		if fields[i], buf, err = takeFramed(buf); err != nil {
+			return nil, err
+		}
+		size += len(fields[i])
 	}
-	if r.OldVal, buf, err = takeFramed(buf); err != nil {
-		return nil, err
+	own := make([]byte, 0, size)
+	for i, f := range fields {
+		if f != nil {
+			n := len(own)
+			own = append(own, f...)
+			fields[i] = own[n:len(own):len(own)]
+		}
 	}
-	if r.NewVal, buf, err = takeFramed(buf); err != nil {
-		return nil, err
-	}
+	r.Key, r.OldVal, r.NewVal = fields[0], fields[1], fields[2]
 	nd, n := binary.Uvarint(buf)
 	if n <= 0 || nd > uint64(len(buf)) {
 		return nil, ErrCorruptRecord
@@ -248,6 +259,7 @@ func appendFramed(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// takeFramed splits one appendFramed field off buf. The field aliases buf.
 func takeFramed(buf []byte) ([]byte, []byte, error) {
 	n, used := binary.Uvarint(buf)
 	if used <= 0 {
@@ -261,9 +273,7 @@ func takeFramed(buf []byte) ([]byte, []byte, error) {
 	if n > uint64(len(buf)) {
 		return nil, nil, ErrCorruptRecord
 	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return out, buf[n:], nil
+	return buf[:n:n], buf[n:], nil
 }
 
 // String renders the record for debugging.

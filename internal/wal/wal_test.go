@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/id"
 )
 
@@ -248,12 +249,19 @@ func TestRepairThenAppend(t *testing.T) {
 	info, _ := os.Stat(path)
 	os.Truncate(path, info.Size()-3)
 
-	res, err := Repair(path)
+	var replayed []uint64
+	res, err := RepairFS(fault.OS{}, path, func(r *Record) error {
+		replayed = append(replayed, r.LSN)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Torn || res.LastLSN != 5 {
 		t.Fatalf("repair: %+v", res)
+	}
+	if !reflect.DeepEqual(replayed, []uint64{1, 2, 3, 4, 5}) {
+		t.Fatalf("repair fed LSNs %v, want 1..5", replayed)
 	}
 	w2, err := OpenAppend(path, res.LastLSN+1, SyncNone)
 	if err != nil {
@@ -268,6 +276,129 @@ func TestRepairThenAppend(t *testing.T) {
 	res2, _ := Scan(path, func(r *Record) error { last = r; return nil })
 	if res2.Torn || res2.LastLSN != 6 || last.Txn != 99 {
 		t.Fatalf("after repair+append: %+v last=%+v", res2, last)
+	}
+}
+
+// writeLog appends recs to a fresh log at path and returns each record's end
+// offset, taken from the writer's own frame sizes.
+func writeLog(t *testing.T, path string, recs []*Record) []int64 {
+	t.Helper()
+	w, err := Create(path, 1, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int64, len(recs))
+	var off int64
+	for i, r := range recs {
+		_, n, err := w.AppendSized(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += int64(n)
+		ends[i] = off
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ends
+}
+
+// checkRepair repairs a copy of data cut at cut and checks that the one pass
+// fed exactly the records that end at or before the cut, then truncated the
+// file to the last of them: what the scan-repair-scan sequence produced.
+func checkRepair(t *testing.T, dir string, data []byte, cut int64, recs []*Record, ends []int64) {
+	t.Helper()
+	path := filepath.Join(dir, "cut")
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for k < len(ends) && ends[k] <= cut {
+		k++
+	}
+	var good int64
+	if k > 0 {
+		good = ends[k-1]
+	}
+	var got []*Record
+	res, err := Repair(path, func(r *Record) error {
+		got = append(got, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("cut %d: %v", cut, err)
+	}
+	want := ScanResult{LastLSN: uint64(k), GoodBytes: good, Torn: cut != good}
+	if res != want {
+		t.Fatalf("cut %d: result %+v, want %+v", cut, res, want)
+	}
+	if len(got) != k {
+		t.Fatalf("cut %d: fed %d records, want %d", cut, len(got), k)
+	}
+	for i := range got {
+		if !recordsEqual(recs[i], got[i]) {
+			t.Fatalf("cut %d: record %d mismatch:\n%+v\n%+v", cut, i, recs[i], got[i])
+		}
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != good {
+		t.Fatalf("cut %d: repaired size %d, want %d", cut, info.Size(), good)
+	}
+}
+
+func TestRepairCutInLastTwoRecords(t *testing.T) {
+	dir := t.TempDir()
+	recs := sampleRecords()
+	ends := writeLog(t, filepath.Join(dir, "log"), recs)
+	data, err := os.ReadFile(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := ends[len(ends)-3]; cut <= ends[len(ends)-1]; cut++ {
+		checkRepair(t, dir, data, cut, recs, ends)
+	}
+}
+
+func TestRepairLogLargerThanBuffer(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	val := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	// Records of 1-200 KiB straddle the 1 MiB buffer's refills; one record
+	// larger than the buffer is read past it.
+	var recs []*Record
+	for i := 0; i < 24; i++ {
+		recs = append(recs, &Record{Type: TUpdate, Txn: id.Txn(i + 1), Tree: 3,
+			Key: val(8), OldVal: val(1 + rng.Intn(200<<10)), NewVal: val(1 + rng.Intn(200<<10))})
+		if i == 12 {
+			recs = append(recs, &Record{Type: TInsert, Txn: id.Txn(i + 1), Tree: 3,
+				Key: val(8), NewVal: val(scanBufSize + scanBufSize/2)})
+		}
+	}
+	ends := writeLog(t, filepath.Join(dir, "log"), recs)
+	if ends[len(ends)-1] < 3*scanBufSize {
+		t.Fatalf("log is %d bytes, want several buffers", ends[len(ends)-1])
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := 13 // the oversized record
+	for _, cut := range []int64{
+		ends[len(ends)-1],             // whole log
+		ends[big-1] + 8 + scanBufSize, // inside the oversized record
+		ends[big] - 1,                 // its last byte missing
+		ends[big],                     // cut right after it
+		scanBufSize, 2 * scanBufSize,  // buffer boundaries
+		ends[len(ends)-1] - 1, // the final record torn
+	} {
+		checkRepair(t, dir, data, cut, recs, ends)
 	}
 }
 
@@ -291,7 +422,7 @@ func TestInjectedFaultTearsTail(t *testing.T) {
 		t.Fatal("append after failure should error")
 	}
 	w.f.Close()
-	res, err := Repair(path)
+	res, err := Repair(path, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
