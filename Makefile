@@ -4,7 +4,7 @@ GO ?= go
 TORTURE_SEEDS ?= 100
 TORTURE_SMOKE_SEEDS ?= 25
 
-.PHONY: all verify race vet fmt staticcheck lint torture torture-smoke bench-smoke bench-selftest baseline metrics-smoke flightrec-smoke hotspots-smoke mvcc-smoke deferred-smoke viewdag-smoke freshness-smoke scrub-smoke scrub-long
+.PHONY: all verify race vet fmt staticcheck lint torture torture-smoke bench-smoke bench-selftest baseline metrics-smoke
 
 all: verify
 
@@ -12,69 +12,6 @@ all: verify
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
-	$(MAKE) flightrec-smoke
-	$(MAKE) hotspots-smoke
-	$(MAKE) mvcc-smoke
-	$(MAKE) deferred-smoke
-	$(MAKE) viewdag-smoke
-	$(MAKE) freshness-smoke
-	$(MAKE) scrub-smoke
-
-# Forensics smoke: induce a real deadlock and assert the flight recorder's
-# automatic dump fires and its JSONL output parses with both transactions'
-# causal spans present.
-flightrec-smoke:
-	$(GO) run ./cmd/flightrecsmoke
-
-# Attribution smoke: drive a Zipf-skewed escrow workload and assert the true
-# hottest group is named consistently by DB.Metrics() and the Prometheus
-# endpoint, with the Space-Saving error bound held.
-hotspots-smoke:
-	$(GO) run ./cmd/hotspotsmoke
-
-# MVCC smoke: truth-check the snapshot read path — sum-preserving escrow
-# writers vs read-only snapshot readers, snapshot stability across commits,
-# and the pruner draining every version chain once readers retire.
-mvcc-smoke:
-	$(GO) run ./cmd/mvccsmoke
-
-# Deferred smoke: truth-check the deferred view-maintenance tier — the
-# watermark barrier gives read-your-writes, watermarks only move forward,
-# snapshot reads of the deferred view are never torn, and the applier drains
-# to zero lag at quiesce with the view equal to a recompute from base.
-deferred-smoke:
-	$(GO) run ./cmd/deferredsmoke
-
-# View-DAG smoke: truth-check stacked views — concurrent sum-preserving
-# writers against snapshot readers over the 3-level rollup chain, asserting
-# cross-level agreement on every scan (no torn cascades), coalesced folds in
-# topological order, and a no-op cascading refresh at quiesce; runs the chain
-# once escrow-maintained and once fully deferred.
-viewdag-smoke:
-	$(GO) run ./cmd/viewdagsmoke
-
-# Freshness smoke: truth-check the observability plane — one marked commit's
-# causal span crosses the deferred boundary into every level of the rollup
-# chain (publish → fold → watermark advance, over the JSONL flight record),
-# the per-view commit-to-visible accounting nests inside a client-measured
-# window with staleness gauges at zero when drained, and an injected applier
-# delay trips the freshness-SLO watchdog naming the lagging view.
-freshness-smoke:
-	$(GO) run ./cmd/freshnesssmoke
-
-# Scrub smoke: truth-check the online consistency scrubber in both
-# directions — silence on a healthy engine (zero divergences with full
-# coverage under concurrent tilt writers over an immediate view plus the
-# 3-level deferred chain), and guaranteed detection of an injected one-row
-# view corruption with exact (view, group) attribution, the divergence trace
-# event, a flight-record dump, and the watchdog's scrub-divergence signature.
-scrub-smoke:
-	$(GO) run ./cmd/scrubsmoke
-
-# Nightly soak: the same truth check with a 40x larger write storm and a
-# longer live-scrub window.
-scrub-long:
-	$(GO) run ./cmd/scrubsmoke -long
 
 # Race tier: the short test set under the race detector.
 race:

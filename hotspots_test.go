@@ -3,7 +3,9 @@ package vtxn_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +18,9 @@ import (
 
 // TestHotGroupAgreement is the acceptance check for hot-spot attribution:
 // under a Zipf(1.1)-skewed escrow workload the true hottest view group must
-// be the top escrow heavy hitter in DB.Metrics(), and a lock convoy's stall
+// be the top escrow heavy hitter in DB.Metrics() within the Space-Saving
+// error bound and a labeled series on the Prometheus endpoint, the per-view
+// cost table must carry real fold and WAL accounting, and a lock convoy's stall
 // report (EventStall detail and the flight-recorder auto-dump) must name the
 // same group that tops the lock-wait listing. The third surface, the
 // vtxnshell top dashboard, renders the same DB.Metrics() snapshot and is
@@ -26,11 +30,10 @@ func TestHotGroupAgreement(t *testing.T) {
 	setupPublic(t, db)
 
 	// Phase 1: Zipf-skewed inserts with client-side truth counting.
-	const (
-		groups  = 64
-		writers = 4
-		perW    = 200
-	)
+	groups, writers, perW := 256, 8, 400
+	if testing.Short() {
+		groups, writers, perW = 64, 4, 200
+	}
 	truth := make([]int64, groups)
 	var truthMu sync.Mutex
 	var idMu sync.Mutex
@@ -93,11 +96,51 @@ func TestHotGroupAgreement(t *testing.T) {
 		t.Fatalf("top_delta[0] = %s[%s], want branch_totals[%d] (true count %d)",
 			top.View, top.Key, hottest, hottestN)
 	}
+	// Space-Saving bounds in the sketch's unit, escrow cell updates: each
+	// insert lands 4 on its branch_totals group (the hidden group counter,
+	// COUNT(*), and SUM's non-NULL count and running sum). The estimate never
+	// undercounts, and subtracting the tracked error never overcounts.
+	if trueDeltas := hottestN * 4; top.Value < trueDeltas || top.Value-top.Err > trueDeltas {
+		t.Fatalf("error bound violated: est %d, err %d, true %d", top.Value, top.Err, trueDeltas)
+	}
+	if len(snap.Hotspots.Views) == 0 {
+		t.Fatal("hotspots.views is empty")
+	}
+	if vc := snap.Hotspots.Views[0]; vc.View != "branch_totals" || vc.RowsFolded <= 0 || vc.FoldNs <= 0 || vc.WALBytes <= 0 {
+		t.Fatalf("view cost table malformed: %+v", vc)
+	}
+	if snap.Engine.UptimeNs <= 0 || snap.Engine.SnapshotUnixNs <= 0 {
+		t.Fatalf("snapshot clock missing: uptime %d, ts %d", snap.Engine.UptimeNs, snap.Engine.SnapshotUnixNs)
+	}
+	srv := httptest.NewServer(vtxn.MetricsHandler(db))
+	resp, err := srv.Client().Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	srv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		fmt.Sprintf(`vtxn_hot_group_escrow_deltas_total{view="branch_totals",key="%d"}`, hottest),
+		`vtxn_view_fold_rows_total{view="branch_totals"}`,
+		"vtxn_uptime_seconds",
+	} {
+		if !strings.Contains(string(body), series) {
+			t.Fatalf("prometheus exposition lacks %s", series)
+		}
+	}
 
 	// Phase 2: a lock convoy on one hot row. A dedicated watchdog (tight
 	// intervals, same DB.Metrics feed as the engine's own) must name the
 	// group that tops the lock-wait listing, in both the EventStall detail
-	// and the flight-recorder auto-dump.
+	// and the flight-recorder auto-dump. It runs on a fresh database: phase
+	// 1's appends all queue on the table's end-of-range key, and at full size
+	// their summed wait can outrank the convoy's.
+	db = openDB(t)
+	setupPublic(t, db)
 	tx, err := db.Begin(vtxn.ReadCommitted)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/applier"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/record"
@@ -623,6 +625,133 @@ func TestDeferredViewApplierConvergence(t *testing.T) {
 	}
 	// And CheckConsistency now verifies deferred views after draining.
 	checkConsistent(t, db)
+}
+
+// stopApplier stops db's applier goroutine so the test can drive rounds by
+// hand; cleanup restarts it before the database closes.
+func stopApplier(t *testing.T, db *DB) {
+	close(db.applierStop)
+	<-db.applierDone
+	t.Cleanup(func() {
+		db.applierStop = make(chan struct{})
+		db.applierDone = make(chan struct{})
+		go db.applierLoop(defaultDeferredApplyInterval)
+	})
+}
+
+// TestApplierRoundHoldsBatchesPastWatermark pins the applier's frontier rule:
+// a batch published after a round read its frontier wm (commit ts > wm) must
+// not fold in that round, or the round's (applyTS, wm) pair would claim the
+// view equals its source at wm while already holding a later commit. The
+// applier goroutine is stopped and rounds are driven by hand, so no timing is
+// involved.
+func TestApplierRoundHoldsBatchesPastWatermark(t *testing.T) {
+	db := openTestDB(t, Options{})
+	setupBanking(t, db, catalog.StrategyDeferred)
+	insertAccounts(t, db, acctRow(1, 7, 100))
+	if err := db.waitDeferredCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stopApplier(t, db)
+	v, err := db.Catalog().View("branch_totals")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Commit a second account with the applier stopped, then re-publish its
+	// batch under a commit timestamp that is allocated but not finished: the
+	// state of a committer between publishDeferred and FinishCommit.
+	insertAccounts(t, db, acctRow(2, 7, 5))
+	db.applierQ.mu.Lock()
+	msgs := db.applierQ.msgs
+	db.applierQ.msgs = nil
+	db.applierQ.mu.Unlock()
+	if len(msgs) != 1 || msgs[0].Batch == nil {
+		t.Fatalf("queued messages = %+v, want the one commit's batch", msgs)
+	}
+	ts := db.oracle.AllocateCommitTS()
+	if wm := db.oracle.ReadTS(); wm >= ts {
+		t.Fatalf("read ts %d reached in-flight commit ts %d", wm, ts)
+	}
+	db.publishDeferred(&applier.Batch{TS: ts, Groups: msgs[0].Batch.Groups}, 0)
+
+	co := applier.NewCoalescer()
+	db.applierRound(co)
+	if count, sum, _ := branchTotal(t, db, 7); count != 1 || sum != 100 {
+		t.Fatalf("round folded a batch above its frontier: branch 7 = %d/%d, want 1/100", count, sum)
+	}
+	if _, wm := db.oracle.ViewApplied(v.ID); wm >= ts {
+		t.Fatalf("ViewApplied watermark %d claims batch at ts %d before the frontier passed it", wm, ts)
+	}
+
+	db.oracle.FinishCommit(ts)
+	db.applierRound(co)
+	if count, sum, _ := branchTotal(t, db, 7); count != 2 || sum != 105 {
+		t.Fatalf("after the frontier passed the batch: branch 7 = %d/%d, want 2/105", count, sum)
+	}
+	if applyTS, wm := db.oracle.ViewApplied(v.ID); applyTS <= ts || wm < ts {
+		t.Fatalf("ViewApplied = (%d, %d), want a fold after ts %d covering it", applyTS, wm, ts)
+	}
+}
+
+// TestApplierQueueBarrierTrimsHeldBatches: a barrier a round takes discards
+// its tree's groups from batches held back above the frontier and published
+// before it (the recompute includes them), and leaves other trees' groups and
+// later batches queued.
+func TestApplierQueueBarrierTrimsHeldBatches(t *testing.T) {
+	q := newDeferredQueue()
+	q.push(applier.Msg{Batch: &applier.Batch{TS: 5, Groups: []applier.GroupDelta{{Tree: 1, Key: "a"}, {Tree: 2, Key: "b"}}}})
+	q.push(applier.Msg{Batch: &applier.Batch{TS: 6, Groups: []applier.GroupDelta{{Tree: 1, Key: "c"}}}})
+	q.push(applier.Msg{Barrier: &applier.Barrier{Tree: 1, TS: 7}})
+	q.push(applier.Msg{Batch: &applier.Batch{TS: 3, Groups: []applier.GroupDelta{{Tree: 1, Key: "d"}}}})
+	q.push(applier.Msg{Batch: &applier.Batch{TS: 8, Groups: []applier.GroupDelta{{Tree: 1, Key: "e"}}}})
+
+	got, _ := q.takeThrough(4)
+	if len(got) != 2 || got[0].Barrier == nil || got[1].Batch == nil || got[1].Batch.TS != 3 {
+		t.Fatalf("takeThrough(4) = %+v, want [barrier, batch@3]", got)
+	}
+	var held []string
+	for _, m := range q.msgs {
+		for _, g := range m.Batch.Groups {
+			held = append(held, fmt.Sprintf("%d:%d/%s", m.Batch.TS, g.Tree, g.Key))
+		}
+	}
+	if want := "[5:2/b 8:1/e]"; fmt.Sprint(held) != want {
+		t.Fatalf("held back = %v, want %s", held, want)
+	}
+}
+
+// TestApplierFoldSupersededByRefresh pins the refresh/fold race: a round
+// takes a batch, a RefreshView of the view commits before the round's fold
+// gets the view's X lock, and the fold must not add the batch's deltas on top
+// of a recompute that already includes them.
+func TestApplierFoldSupersededByRefresh(t *testing.T) {
+	db := openTestDB(t, Options{})
+	setupBanking(t, db, catalog.StrategyDeferred)
+	stopApplier(t, db)
+	insertAccounts(t, db, acctRow(1, 7, 100))
+
+	wm := db.oracle.ReadTS()
+	msgs, epoch := db.applierQ.takeThrough(wm)
+	co := applier.NewCoalescer()
+	for _, m := range msgs {
+		if m.Batch != nil { // the view's create barrier may still be queued
+			co.Add(m.Batch)
+		}
+	}
+	if _, err := db.RefreshView("branch_totals"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := db.Catalog().View("branch_totals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.applyDeferredComponent([]*catalog.View{v}, co.Take(), wm, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if count, sum, _ := branchTotal(t, db, 7); count != 1 || sum != 100 {
+		t.Fatalf("fold landed on top of the refresh: branch 7 = %d/%d, want 1/100", count, sum)
+	}
 }
 
 func TestDeferredViewValidation(t *testing.T) {

@@ -48,17 +48,26 @@ const defaultDeferredApplyInterval = 5 * time.Millisecond
 type deferredQueue struct {
 	mu   sync.Mutex
 	msgs []applier.Msg
-	wake chan struct{} // cap 1: coalesced wake-up signal
+	// barriers counts barrier pushes and lastBarrier records the count at
+	// each tree's latest one, so a round can tell whether a view was
+	// recomputed after it took its batches (refreshedSince).
+	barriers    uint64
+	lastBarrier map[id.Tree]uint64
+	wake        chan struct{} // cap 1: coalesced wake-up signal
 }
 
 func newDeferredQueue() *deferredQueue {
-	return &deferredQueue{wake: make(chan struct{}, 1)}
+	return &deferredQueue{lastBarrier: make(map[id.Tree]uint64), wake: make(chan struct{}, 1)}
 }
 
 // push enqueues one message and wakes the applier; it returns the queue depth
 // after the append (for the high-water gauge).
 func (q *deferredQueue) push(m applier.Msg) int {
 	q.mu.Lock()
+	if m.Barrier != nil {
+		q.barriers++
+		q.lastBarrier[m.Barrier.Tree] = q.barriers
+	}
 	q.msgs = append(q.msgs, m)
 	n := len(q.msgs)
 	q.mu.Unlock()
@@ -69,13 +78,60 @@ func (q *deferredQueue) push(m applier.Msg) int {
 	return n
 }
 
-// take removes and returns every queued message in publish order.
-func (q *deferredQueue) take() []applier.Msg {
+// takeThrough removes and returns, in publish order, every queued message a
+// round at frontier wm may fold: each barrier and each batch committed at or
+// below wm. A batch committed above wm (published after the round read wm)
+// stays queued for a later round — folding it now would let the round claim
+// the view equals its source at wm while it already holds a later commit. A
+// barrier taken now still discards its tree's groups from the held-back
+// batches published before it: the recompute it stands for includes them.
+// The returned epoch is the input to refreshedSince.
+func (q *deferredQueue) takeThrough(wm uint64) (msgs []applier.Msg, epoch uint64) {
 	q.mu.Lock()
-	msgs := q.msgs
-	q.msgs = nil
-	q.mu.Unlock()
-	return msgs
+	defer q.mu.Unlock()
+	var out, held []applier.Msg
+	for _, m := range q.msgs {
+		switch {
+		case m.Batch != nil && m.Batch.TS > wm:
+			held = append(held, m)
+			continue
+		case m.Barrier != nil:
+			held = dropTreeGroups(held, m.Barrier.Tree)
+		}
+		out = append(out, m)
+	}
+	q.msgs = held
+	return out, q.barriers
+}
+
+// refreshedSince reports whether a barrier for tree was pushed after the
+// takeThrough that returned epoch: the view was recomputed after the round
+// took its batches, and the recompute includes every one of them (each
+// committed, locks released, before the take — so before the refresh read
+// its source).
+func (q *deferredQueue) refreshedSince(tree id.Tree, epoch uint64) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.lastBarrier[tree] > epoch
+}
+
+// dropTreeGroups removes tree's groups from the queued batches msgs, dropping
+// batches left empty. Only the queue references a published batch, so the
+// trim is in place.
+func dropTreeGroups(msgs []applier.Msg, tree id.Tree) []applier.Msg {
+	out := msgs[:0]
+	for _, m := range msgs {
+		keep := m.Batch.Groups[:0]
+		for _, g := range m.Batch.Groups {
+			if g.Tree != tree {
+				keep = append(keep, g)
+			}
+		}
+		if m.Batch.Groups = keep; len(keep) > 0 {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // oldestPerTree scans the queued (not yet drained) batches and returns the
@@ -161,8 +217,10 @@ func (db *DB) applierLoop(interval time.Duration) {
 func (db *DB) applierRound(co *applier.Coalescer) {
 	// Read the frontier BEFORE draining: every commit <= wm published before
 	// FinishCommit let wm reach it, so the drain below captures its batch.
+	// Batches committed above wm stay queued until a later round's frontier
+	// passes them.
 	wm := db.oracle.ReadTS()
-	msgs := db.applierQ.take()
+	msgs, epoch := db.applierQ.takeThrough(wm)
 	var minWall int64
 	for _, m := range msgs {
 		switch {
@@ -240,7 +298,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		for _, r := range order {
 			ms := members[r]
 			sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-			if folds, err := db.applyDeferredComponent(ms, comp[r], wm); err != nil {
+			if folds, err := db.applyDeferredComponent(ms, comp[r], wm, epoch); err != nil {
 				// The component's system transaction rolled back whole; keep
 				// its groups pending (merging with later publishes) and hold
 				// every member's watermark until a retry succeeds.
@@ -410,7 +468,7 @@ type deferredFold struct {
 // visible — so any snapshot timestamp at which the fold is visible was pinned
 // after the pair updated. The scrubber's pair protocol (internal/scrub)
 // depends on exactly this ordering.
-func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.GroupDelta, wm uint64) ([]deferredFold, error) {
+func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.GroupDelta, wm, epoch uint64) ([]deferredFold, error) {
 	root := db.reg.Maintainer(members[0].ID)
 	if root == nil {
 		return nil, nil // component dropped while its deltas were pending
@@ -437,12 +495,22 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 	}
 	start := time.Now()
 	var folds []deferredFold
+	var superseded bool
 	err := db.runSysTxnHook(func(st *txn.Txn) error {
 		folds = folds[:0] // a retried closure starts the tally over
 		for _, v := range members {
 			if err := db.lockTree(st, v.ID, lock.ModeX); err != nil {
 				return err
 			}
+		}
+		// A refresh of the component root that took its X lock first, after
+		// this round took its batches, recomputed the whole component with
+		// these deltas in (a root refresh cascades to every member); folding
+		// them again would count them twice, and its barrier publishes the
+		// watermark. Checked under the X locks, so no such refresh is still
+		// running.
+		if superseded = db.applierQ.refreshedSince(members[0].ID, epoch); superseded {
+			return nil
 		}
 		q := newFoldQueue()
 		for _, g := range groups {
@@ -499,6 +567,9 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 		// Publish the (fold ts, frontier) pair before FinishCommit: the
 		// scrubber's pair-read/snapshot-pin ordering is sound only because a
 		// fold visible at a pinned timestamp already updated the pair.
+		if superseded {
+			return
+		}
 		for _, v := range members {
 			db.oracle.AdvanceViewApplied(v.ID, ts, wm)
 		}

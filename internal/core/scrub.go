@@ -231,7 +231,7 @@ func (db *DB) tableRowsAt(tbl *catalog.Table, ts uint64) ([]record.Row, error) {
 
 // ScrubNow runs one full verification pass over every view on the caller's
 // goroutine, unpaced: the on-demand sweep behind vtxnshell scrub full and
-// the smoke harnesses. It works whether or not the background scrubber is
+// the scrub tests. It works whether or not the background scrubber is
 // enabled, and concurrently with it. Returns the number of divergences
 // found (each already traced, counted, and flight-dumped).
 func (db *DB) ScrubNow(ctx context.Context) (int64, error) {
@@ -243,7 +243,7 @@ func (db *DB) ScrubNow(ctx context.Context) (int64, error) {
 
 // CorruptViewRow deliberately perturbs one stored view row in place,
 // bypassing the WAL, locks, and version store — the fault-injection hook
-// behind cmd/scrubsmoke's detection direction and nothing else. keyRow is the
+// behind the scrubber's detection test and nothing else. keyRow is the
 // group key (projection views: the source PK columns), exactly as
 // Tx.GetViewRow takes it. The write is invisible to recovery (it is exactly
 // the silent corruption the scrubber exists to catch). The row's version

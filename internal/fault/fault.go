@@ -52,7 +52,7 @@ const (
 	// slows the applier to exercise the freshness-SLO watchdog.
 	PointDeferredApply Point = "deferred-apply"
 	// PointViewCorrupt fires in DB.CorruptViewRow, the deliberate in-place
-	// view corruption behind the scrubber's detection smoke. NOT part of
+	// view corruption behind the scrubber's detection test. NOT part of
 	// Points — it exists so an injector can observe (or veto) the corruption,
 	// never as a crash site.
 	PointViewCorrupt Point = "view-corrupt"

@@ -268,9 +268,9 @@ func (s *Scrubber) finishCycle(now time.Time) {
 
 // FullPass verifies every view end to end, unpaced, on the caller's
 // goroutine — the on-demand sweep behind DB.ScrubNow, vtxnshell scrub full,
-// and the smoke/torture harnesses. It uses only local cursors, so it is safe
-// concurrently with the background loop. Returns the total diffs found
-// (each already Reported).
+// the scrub tests and the torture harness. It uses only local cursors, so it
+// is safe concurrently with the background loop. Returns the total diffs
+// found (each already Reported).
 func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 	start := time.Now()
 	plan := s.e.Plan()

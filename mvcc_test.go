@@ -2,19 +2,18 @@ package vtxn_test
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	vtxn "repro"
 )
 
-// mvccBanking creates the banking schema with an escrow branch_totals view
-// and loads accounts with perAccount balance each, two branches.
-func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
+// bankingDB opens a database with the banking schema — accounts plus a
+// branch_totals COUNT/SUM view maintained with strategy — and loads accounts
+// rows of perAccount balance each over two branches.
+func bankingDB(t *testing.T, strategy vtxn.Strategy, accounts int, perAccount int64) *vtxn.DB {
 	t.Helper()
-	db, err := vtxn.Open(t.TempDir(), vtxn.Options{})
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
 			{Func: vtxn.AggCountRows},
 			{Func: vtxn.AggSum, Arg: vtxn.Col(2)},
 		},
-		Strategy: vtxn.StrategyEscrow,
+		Strategy: strategy,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,10 @@ func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
 // Every scan must observe a transaction-consistent world: COUNT equal to the
 // number of accounts and SUM equal to the invariant grand total — a torn
 // half-transfer or a leaked uncommitted escrow delta shows up as a sum that
-// is off by one. Run under -race in CI (make race), eight goroutines total.
+// is off by one. Once the load quiesces and the last snapshot retires, the
+// pruner must drain every version chain back to its B-tree base, with the
+// drained state equal to a recompute. Run under -race in CI (make race),
+// eight goroutines total.
 func TestSnapshotHammer(t *testing.T) {
 	const writers = 4
 	const readers = 4
@@ -73,96 +75,50 @@ func TestSnapshotHammer(t *testing.T) {
 	if testing.Short() {
 		scans = 120
 	}
-	db := mvccBanking(t, accounts, perAccount)
+	db := bankingDB(t, vtxn.StrategyEscrow, accounts, perAccount)
 
-	tilt := func(a, b, av, bv int64) error {
-		tx, err := db.Begin(vtxn.ReadCommitted)
-		if err != nil {
-			return err
+	storm := startTilts(t, db, "accounts", 2, perAccount, writers, 0)
+	parallel(readers, func(int) {
+		for i := 0; i < scans; i++ {
+			count, sum, err := scanTotals(db, "branch_totals")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if count != accounts || sum != total {
+				t.Errorf("torn snapshot: count=%d sum=%d, want %d/%d", count, sum, accounts, total)
+				return
+			}
 		}
-		if err := tx.Update("accounts", vtxn.Row{vtxn.Int(a)}, map[int]vtxn.Value{2: vtxn.Int(av)}); err != nil {
-			tx.Rollback()
-			return err
-		}
-		if err := tx.Update("accounts", vtxn.Row{vtxn.Int(b)}, map[int]vtxn.Value{2: vtxn.Int(bv)}); err != nil {
-			tx.Rollback()
-			return err
-		}
-		return tx.Commit()
+	})
+	storm.halt()
+	if t.Failed() {
+		t.FailNow()
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers+readers)
-	for w := int64(0); w < writers; w++ {
-		wg.Add(1)
-		go func(w int64) {
-			defer wg.Done()
-			a, b := 2*w, 2*w+1
-			for i := int64(0); !stop.Load(); i++ {
-				av, bv := perAccount-1, perAccount+1
-				if i%2 == 1 {
-					av, bv = perAccount, perAccount
-				}
-				if err := tilt(a, b, av, bv); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	var rwg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for i := 0; i < scans; i++ {
-				snap, err := db.BeginTx(context.Background(), vtxn.TxOptions{ReadOnly: true})
-				if err != nil {
-					errCh <- err
-					return
-				}
-				rows, err := snap.ScanView("branch_totals")
-				if err != nil {
-					snap.Rollback()
-					errCh <- err
-					return
-				}
-				var count, sum int64
-				for _, vr := range rows {
-					count += vr.Result[0].AsInt()
-					if !vr.Result[1].IsNull() {
-						sum += vr.Result[1].AsInt()
-					}
-				}
-				if err := snap.Commit(); err != nil {
-					errCh <- err
-					return
-				}
-				if count != accounts || sum != total {
-					t.Errorf("torn snapshot: count=%d sum=%d, want %d/%d", count, sum, accounts, total)
-					return
-				}
-			}
-		}()
-	}
-	rwg.Wait()
-	stop.Store(true)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	if err := db.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	// Every snapshot has retired and no writer is in flight: the pruner must
+	// drain every chain back to its base within 50 passes.
+	for pass := 0; db.Metrics().MVCC.Chains > 0; pass++ {
+		if pass >= 50 {
+			t.Fatalf("pruner left %d chains after %d passes", db.Metrics().MVCC.Chains, pass)
+		}
+		db.PruneVersions()
 	}
 	s := db.Metrics()
 	if s.MVCC.Snapshots < int64(readers*scans) {
 		t.Fatalf("snapshots begun = %d, want >= %d", s.MVCC.Snapshots, readers*scans)
 	}
-	if s.MVCC.VersionsStamped == 0 {
-		t.Fatal("no versions stamped under write load")
+	if s.MVCC.ActiveSnapshots != 0 {
+		t.Fatalf("active snapshots = %d after quiesce", s.MVCC.ActiveSnapshots)
+	}
+	if s.MVCC.VersionsStamped == 0 || s.MVCC.VersionsPruned == 0 {
+		t.Fatalf("version flow: stamped %d, pruned %d", s.MVCC.VersionsStamped, s.MVCC.VersionsPruned)
+	}
+	if s.MVCC.Watermark == 0 || s.MVCC.ChainLenHighWater == 0 {
+		t.Fatalf("watermark %d, chain high-water %d: never advanced", s.MVCC.Watermark, s.MVCC.ChainLenHighWater)
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -170,7 +126,7 @@ func TestSnapshotHammer(t *testing.T) {
 // rule: chains accumulate while the oldest snapshot pins the horizon and
 // drain once it retires.
 func TestSnapshotPrunerRetires(t *testing.T) {
-	db := mvccBanking(t, 2, 1000)
+	db := bankingDB(t, vtxn.StrategyEscrow, 2, 1000)
 
 	// Pin a snapshot, then churn behind it.
 	pinned, err := db.BeginTx(context.Background(), vtxn.TxOptions{ReadOnly: true})
