@@ -7,7 +7,7 @@ package apply
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -31,9 +31,16 @@ var (
 type TreeSource func(id.Tree) *btree.Tree
 
 // Registry resolves aggregate-view maintainers by view tree ID and tracks
-// the current catalog across DDL records.
+// the current catalog across DDL records. Every read and every watermark wait
+// looks the catalog up, so lookups take no lock: the catalog and its compiled
+// maintainers live in one immutable snapshot that Replace swaps whole.
 type Registry struct {
-	mu          sync.RWMutex
+	cur atomic.Pointer[registryState]
+}
+
+// registryState is one catalog generation and its compiled maintainers;
+// never modified once published.
+type registryState struct {
 	cat         *catalog.Catalog
 	maintainers map[id.Tree]*view.Maintainer
 }
@@ -70,26 +77,15 @@ func (r *Registry) Replace(cat *catalog.Catalog) error {
 		}
 		ms[v.ID] = m
 	}
-	r.mu.Lock()
-	r.cat = cat
-	r.maintainers = ms
-	r.mu.Unlock()
+	r.cur.Store(&registryState{cat: cat, maintainers: ms})
 	return nil
 }
 
 // Catalog returns the current catalog.
-func (r *Registry) Catalog() *catalog.Catalog {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cat
-}
+func (r *Registry) Catalog() *catalog.Catalog { return r.cur.Load().cat }
 
 // Maintainer returns the compiled plan for a view tree, or nil.
-func (r *Registry) Maintainer(t id.Tree) *view.Maintainer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.maintainers[t]
-}
+func (r *Registry) Maintainer(t id.Tree) *view.Maintainer { return r.cur.Load().maintainers[t] }
 
 // Apply performs the record's action against the trees. Begin/Commit/
 // AbortEnd records are no-ops. CLRs perform their compensating action.

@@ -52,6 +52,83 @@ func (t *Tree) Scan(lo, hi []byte, includeGhosts bool, fn func(Item) bool) {
 	}
 }
 
+// Batch is a reusable copy of a run of consecutive entries, filled by
+// ScanBatch. Its storage is pointer-free — keys and values share one byte
+// arena addressed by offsets — so a refill copies into memory the batch
+// already owns and the garbage collector never scans it.
+type Batch struct {
+	buf   []byte
+	ends  []int // ends[2i] ends key i in buf, ends[2i+1] ends its value
+	ghost []bool
+	next  []byte
+	more  bool
+}
+
+// Len returns the number of entries in the batch.
+func (b *Batch) Len() int { return len(b.ghost) }
+
+// Key returns entry i's key; valid until the next refill.
+func (b *Batch) Key(i int) []byte { return b.buf[b.start(2*i):b.ends[2*i]] }
+
+// Val returns entry i's value; valid until the next refill.
+func (b *Batch) Val(i int) []byte { return b.buf[b.ends[2*i]:b.ends[2*i+1]] }
+
+// Ghost returns entry i's ghost bit.
+func (b *Batch) Ghost(i int) bool { return b.ghost[i] }
+
+// Next returns the first key past the batch — where the next batch resumes —
+// or nil when the batch reached the end of the scanned range. The batch
+// covers exactly [lo, Next()) of the tree as it stood during the copy.
+func (b *Batch) Next() []byte {
+	if !b.more {
+		return nil
+	}
+	return b.next
+}
+
+func (b *Batch) start(j int) int {
+	if j == 0 {
+		return 0
+	}
+	return b.ends[j-1]
+}
+
+// ScanBatch replaces b's contents with copies of up to max entries (ghosts
+// included) with lo <= key < hi, in ascending order, holding the tree latch
+// only for the copy. max must be positive, and lo must not alias b's own
+// storage.
+func (t *Tree) ScanBatch(b *Batch, lo, hi []byte, max int) {
+	b.buf, b.ends, b.ghost, b.more = b.buf[:0], b.ends[:0], b.ghost[:0], false
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var n *node
+	var i int
+	if lo == nil {
+		n = t.leftmostLeaf()
+	} else {
+		n = t.findLeaf(lo)
+		i, _ = search(n.keys, lo)
+	}
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			k := n.keys[i]
+			if hi != nil && bytes.Compare(k, hi) >= 0 {
+				return
+			}
+			if len(b.ghost) == max {
+				b.next = append(b.next[:0], k...)
+				b.more = true
+				return
+			}
+			b.buf = append(b.buf, k...)
+			b.ends = append(b.ends, len(b.buf))
+			b.buf = append(b.buf, n.vals[i]...)
+			b.ends = append(b.ends, len(b.buf))
+			b.ghost = append(b.ghost, n.ghost[i])
+		}
+	}
+}
+
 // ScanReverse visits entries with lo <= key < hi in descending order, with
 // the same nil-boundary and ghost conventions as Scan.
 func (t *Tree) ScanReverse(lo, hi []byte, includeGhosts bool, fn func(Item) bool) {

@@ -161,8 +161,15 @@ func (v *View) OverView() bool { return v.srcView }
 // for attribution and diagnostics.
 func (v *View) Level() int { return v.level }
 
-// Catalog is the mutable, thread-safe schema registry. It also allocates
-// tree IDs.
+// Catalog is the schema registry. It also allocates tree IDs.
+//
+// A catalog is mutated only while no other goroutine can see it: the engine
+// clones the published catalog, mutates the clone, and publishes a fresh
+// decode of it, never touching a published catalog again. The point lookups
+// (Table, View, Index), which every read and commit makes, therefore take no
+// lock — a shared read lock would bounce its cache line between every core
+// doing lookups. mu orders the mutators and guards the ViewsOn cache, which
+// readers fill.
 type Catalog struct {
 	mu       sync.RWMutex
 	tables   map[string]*Table
@@ -665,8 +672,6 @@ func (c *Catalog) SourceTable(name string) (*Table, error) {
 
 // Table returns the named table.
 func (c *Catalog) Table(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q", ErrNotFound, name)
@@ -676,8 +681,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 
 // View returns the named view.
 func (c *Catalog) View(name string) (*View, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	v, ok := c.views[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: view %q", ErrNotFound, name)
@@ -687,8 +690,6 @@ func (c *Catalog) View(name string) (*View, error) {
 
 // Index returns the named index.
 func (c *Catalog) Index(name string) (*Index, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	ix, ok := c.indexes[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: index %q", ErrNotFound, name)

@@ -157,6 +157,10 @@ type DB struct {
 	// the sidecar version store snapshot readers resolve against (DESIGN.md §8).
 	oracle *txn.Oracle
 	mvcc   *mvcc.Store
+	// readHook, when set, runs at fixed steps of the snapshot read protocol
+	// (snapshot_read.go) so tests can interleave writers and the pruner
+	// deterministically. Tests set it before any reader runs; nil otherwise.
+	readHook func(readPoint)
 
 	// gate admits user-level actors (transactions, DDL, the cleaner) as
 	// readers; Checkpoint takes it exclusively to quiesce the database.
@@ -908,11 +912,22 @@ func (db *DB) runSysTxnHook(fn func(st *txn.Txn) error, preFinish func(ts uint64
 	return nil
 }
 
+// invertOp applies the compensation of one logged operation to the trees and
+// returns its CLR. Undoing an insert removes the key from its tree, so the
+// version store hears of it first: a snapshot may still read the key through
+// its chain, and a scan of the tree would no longer find it.
+func (db *DB) invertOp(op *wal.Record) (*wal.Record, error) {
+	if op.Type == wal.TInsert {
+		db.mvcc.NoteRemoval(op.Tree, op.Key)
+	}
+	return apply.Invert(db.reg, db.tree, op)
+}
+
 // rollbackOps applies and logs compensation records for every operation of
 // t, newest first.
 func (db *DB) rollbackOps(t *txn.Txn) {
 	for _, op := range t.OpsSince(0) {
-		clr, err := apply.Invert(db.reg, db.tree, op)
+		clr, err := db.invertOp(op)
 		if err != nil {
 			// Inversion of a logged operation cannot legitimately fail; a
 			// failure here means corrupted state, so surface it loudly.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/scrub"
 	"repro/internal/verify"
+	"repro/internal/view"
 )
 
 // This file adapts the kernel to the online consistency scrubber
@@ -110,9 +111,12 @@ func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify
 	return entries, next, nil
 }
 
-// Want implements scrub.Engine: recompute the view's full expected contents
-// from its source relation as of ts.
-func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) {
+// Want implements scrub.Engine: recompute the view's expected entries in
+// [lo, hi) from one streamed pass over its source relation as of ts. Every
+// source row is read and counted against the budget; only the rows whose
+// view key lands in the range are kept, so a slice builds its own groups and
+// no others.
+func (e scrubEngine) Want(tree id.Tree, ts uint64, lo, hi []byte) ([]verify.Entry, int, error) {
 	db := e.db
 	if db.closed.Load() {
 		return nil, 0, ErrClosed
@@ -125,25 +129,30 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 	if v == nil || m == nil {
 		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
-	leftRows, err := db.relationRowsAt(cat, v.Left, ts)
-	if err != nil {
-		return nil, 0, err
-	}
-	var rightRows []record.Row
+	rc := m.NewRecomputation(lo, hi)
+	read := 0
 	if v.Join() {
-		right, err := cat.Table(v.Right)
+		err := db.streamRelationAt(cat, v.Right, ts, func(row record.Row) error {
+			read++
+			rc.AddRight(row)
+			return nil
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		if rightRows, err = db.tableRowsAt(right, ts); err != nil {
-			return nil, 0, err
-		}
 	}
-	want, err := m.Recompute(leftRows, rightRows)
+	err := db.streamRelationAt(cat, v.Left, ts, func(row record.Row) error {
+		read++
+		return rc.AddLeft(row)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return want, len(leftRows) + len(rightRows), nil
+	want, err := rc.Entries()
+	if err != nil {
+		return nil, 0, err
+	}
+	return want, read, nil
 }
 
 // Report implements scrub.Engine: a confirmed divergence becomes
@@ -183,50 +192,40 @@ func viewByTree(cat *catalog.Catalog, tree id.Tree) *catalog.View {
 	return nil
 }
 
-// relationRowsAt is relationRows at a snapshot timestamp: every row of a
-// view's source relation as of ts, in the form maintenance sees it (stored
-// rows for a base table, output rows for a source view), read lock-free
-// through the version store.
-func (db *DB) relationRowsAt(cat *catalog.Catalog, name string, ts uint64) ([]record.Row, error) {
+// streamRelationAt feeds every row of a view's source relation as of ts to
+// fn, in the form maintenance sees it (stored rows for a base table, output
+// rows for a source view), read lock-free through the version store. The
+// row passed to fn is only valid during the call.
+func (db *DB) streamRelationAt(cat *catalog.Catalog, name string, ts uint64, fn func(record.Row) error) error {
+	var tree id.Tree
+	var src *view.Maintainer // non-nil when the relation is a view
 	if v, err := cat.View(name); err == nil {
-		m := db.reg.Maintainer(v.ID)
-		if m == nil {
-			return nil, fmt.Errorf("core: view %q has no compiled maintainer", name)
+		if src = db.reg.Maintainer(v.ID); src == nil {
+			return fmt.Errorf("core: view %q has no compiled maintainer", name)
 		}
-		var rows []record.Row
-		err := db.snapshotScanAt(v.ID, nil, nil, ts, id.Txn(0), func(key, val []byte) (bool, error) {
-			stored, err := record.DecodeRow(val)
-			if err != nil {
-				return false, err
-			}
-			out, err := m.OutputRow(key, stored)
-			if err != nil {
-				return false, err
-			}
-			rows = append(rows, out)
-			return true, nil
-		})
-		return rows, err
+		tree = v.ID
+	} else {
+		tbl, err := cat.Table(name)
+		if err != nil {
+			return err
+		}
+		tree = tbl.ID
 	}
-	tbl, err := cat.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return db.tableRowsAt(tbl, ts)
-}
-
-// tableRowsAt snapshots every live row of a table as of ts.
-func (db *DB) tableRowsAt(tbl *catalog.Table, ts uint64) ([]record.Row, error) {
-	var rows []record.Row
-	err := db.snapshotScanAt(tbl.ID, nil, nil, ts, id.Txn(0), func(_, val []byte) (bool, error) {
-		row, err := record.DecodeRow(val)
+	var row record.Row
+	return db.snapshotScanAt(tree, nil, nil, ts, id.Txn(0), func(key, val []byte) (bool, error) {
+		var err error
+		if row, err = record.DecodeRowInto(row, val); err != nil {
+			return false, err
+		}
+		if src == nil {
+			return true, fn(row)
+		}
+		out, err := src.OutputRow(key, row)
 		if err != nil {
 			return false, err
 		}
-		rows = append(rows, row)
-		return true, nil
+		return true, fn(out)
 	})
-	return rows, err
 }
 
 // ScrubNow runs one full verification pass over every view on the caller's

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/applier"
-	"repro/internal/apply"
 	"repro/internal/catalog"
 	"repro/internal/escrow"
 	"repro/internal/fault"
@@ -254,7 +253,7 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 	}
 	db := tx.db
 	for _, op := range tx.t.OpsSince(sp.ops) {
-		clr, err := apply.Invert(db.reg, db.tree, op)
+		clr, err := db.invertOp(op)
 		if err != nil {
 			return fmt.Errorf("core: savepoint rollback of %s: %w", op, err)
 		}

@@ -11,14 +11,22 @@
 // btree value stands. The pruner folds versions at or below the snapshot
 // horizon into the chain base and drops chains that become quiescent, keeping
 // the store's footprint proportional to the active write set.
+//
+// Two side structures serve range scans (DESIGN.md §8). A store-wide drop
+// generation advances before any chain leaves the store, so a scan that
+// copied tree values before resolving them can tell whether a chain that
+// covered a copied value may have vanished in between. A per-tree ordered
+// index holds the only tracked keys a tree scan cannot see: keys physically
+// removed from their tree while their chain still lives.
 package mvcc
 
 import (
-	"bytes"
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/btree"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -57,6 +65,9 @@ type chain struct {
 	base     Version // committed state when the chain was seeded (TS 0)
 	versions []Version
 	pend     []pending
+	// removed marks the key as held in the removed-key index; guarded by
+	// the shard's map lock, not mu.
+	removed bool
 }
 
 type chainKey struct {
@@ -72,7 +83,15 @@ type shard struct {
 // Store is the engine-wide version store.
 type Store struct {
 	shards [storeShards]shard
-	m      *metrics.MVCCMetrics // nil-safe
+	// dropGen advances, under the shard's map lock, before any chain is
+	// dropped from the store (see DropGen).
+	dropGen atomic.Uint64
+	// removed maps a tree to its removed-key index (see TrackedKeys): an
+	// ordered set of keys whose chain lives on after the key left the tree.
+	// Entries are added under the chain's shard lock before the tree
+	// changes, and leave with the chain.
+	removed sync.Map             // id.Tree -> *btree.Tree
+	m       *metrics.MVCCMetrics // nil-safe
 }
 
 // NewStore returns an empty store reporting into m (which may be nil).
@@ -97,7 +116,14 @@ func (s *Store) shard(k chainKey) *shard {
 // (value, ghost bit, existence) and is called only when the pin seeds a new
 // chain. Pin must be called before the operation mutates the btree, while the
 // caller's write lock (or the structure latch, for escrow folds) still
-// serializes the row.
+// serializes the row. A TDelete pin also enters the key into the tree's
+// removed-key index.
+//
+// Lock order: pre runs under the shard's map lock and typically takes a tree
+// latch, so no caller may enter the store (Read included) while holding a
+// tree latch, e.g. from inside a btree.Scan callback. With a tree writer
+// queued on the latch, pre's read latch waits behind the writer, the writer
+// behind the scan, and the scan's Read behind pre's shard lock.
 func (s *Store) Pin(tree id.Tree, key []byte, rec *wal.Record, txn id.Txn, pre func() (val []byte, ghost, ok bool)) {
 	ck := chainKey{tree: tree, key: string(key)}
 	sh := s.shard(ck)
@@ -115,6 +141,11 @@ func (s *Store) Pin(tree id.Tree, key []byte, rec *wal.Record, txn id.Txn, pre f
 		if s.m != nil {
 			s.m.Chains.Add(1)
 		}
+	}
+	if rec.Type == wal.TDelete {
+		// The delete removes the key from the tree, where scans can no
+		// longer find it; index it while the chain keeps it visible.
+		s.markRemoved(ck, ch)
 	}
 	ch.mu.Lock()
 	sh.mu.Unlock()
@@ -260,32 +291,79 @@ func (s *Store) Read(tree id.Tree, key []byte, ts uint64, self id.Txn) (Resolved
 	return res, true
 }
 
-// TrackedKeys returns the keys in [lo, hi) (hi nil = unbounded) that have a
-// chain on tree, sorted. Snapshot scans merge them with the btree's keys so
-// rows deleted from the tree but alive at the read timestamp still appear.
-func (s *Store) TrackedKeys(tree id.Tree, lo, hi []byte) [][]byte {
-	var out [][]byte
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for ck := range sh.chains {
-			if ck.tree != tree {
-				continue
-			}
-			k := []byte(ck.key)
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				continue
-			}
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+// markRemoved enters ck into its tree's removed-key index. The caller holds
+// ck's shard map lock.
+func (s *Store) markRemoved(ck chainKey, ch *chain) {
+	if ch.removed {
+		return
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
+	ch.removed = true
+	idx, ok := s.removed.Load(ck.tree)
+	if !ok {
+		idx, _ = s.removed.LoadOrStore(ck.tree, btree.New())
+	}
+	idx.(*btree.Tree).Put([]byte(ck.key), nil, false)
+}
+
+// unmarkRemoved drops ck from the removed-key index as its chain leaves the
+// store. The caller holds ck's shard map lock.
+func (s *Store) unmarkRemoved(ck chainKey, ch *chain) {
+	if !ch.removed {
+		return
+	}
+	if idx, ok := s.removed.Load(ck.tree); ok {
+		idx.(*btree.Tree).Delete([]byte(ck.key))
+	}
+}
+
+// NoteRemoval tells the store that an undo is about to remove (tree, key)
+// from its tree — the compensation of an insert. When the row's chain still
+// holds a version a snapshot may read, the key joins the removed-key index
+// so scans keep finding it. Call it before the tree changes.
+func (s *Store) NoteRemoval(tree id.Tree, key []byte) {
+	ck := chainKey{tree: tree, key: string(key)}
+	sh := s.shard(ck)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ch := sh.chains[ck]
+	if ch == nil || ch.removed {
+		return
+	}
+	ch.mu.Lock()
+	visible := !ch.base.Absent || len(ch.versions) > 0
+	ch.mu.Unlock()
+	if visible {
+		s.markRemoved(ck, ch)
+	}
+}
+
+// TrackedKeys returns, sorted, the keys of tree in [lo, hi) (nil bounds are
+// open) that a scan of the tree itself cannot see: keys physically removed
+// from the tree — by a pinned TDelete or an undone insert — whose version
+// chain still lives, so a snapshot may still read them. It costs the size of
+// the range in the index, not the number of chains in the store. A range
+// scan looks it up after copying the matching tree range: a key removed
+// before the copy is then in the index, one removed after it is in the copy.
+func (s *Store) TrackedKeys(tree id.Tree, lo, hi []byte) [][]byte {
+	idx, ok := s.removed.Load(tree)
+	if !ok {
+		return nil
+	}
+	var out [][]byte
+	idx.(*btree.Tree).Scan(lo, hi, true, func(it btree.Item) bool {
+		out = append(out, append([]byte(nil), it.Key...))
+		return true
+	})
 	return out
 }
+
+// DropGen returns the store's chain-drop generation, which advances before
+// any chain is dropped (Prune, Evict). A reader that finds a row untracked
+// may trust a tree value it copied earlier only if the generation it read
+// before that copy is still current: otherwise a chain covering the copied
+// value — a writer's since rolled-back pin, say — may have been dropped in
+// between.
+func (s *Store) DropGen() uint64 { return s.dropGen.Load() }
 
 // Evict drops (tree, key)'s version chain outright, making the btree's
 // stored bytes the only source of truth at every timestamp. It refuses when
@@ -307,6 +385,8 @@ func (s *Store) Evict(tree id.Tree, key []byte) bool {
 	if busy {
 		return false
 	}
+	s.dropGen.Add(1)
+	s.unmarkRemoved(ck, ch)
 	delete(sh.chains, ck)
 	if s.m != nil {
 		s.m.Chains.Add(-1)
@@ -365,6 +445,7 @@ func (s *Store) PruneShard(i int, horizon uint64, fold FoldFunc) int {
 // are the caller's job (Chains is adjusted here, where the drop happens).
 func (s *Store) pruneShard(idx int, horizon uint64, fold FoldFunc) int {
 	pruned := 0
+	bumped := false
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	for ck, ch := range sh.chains {
@@ -373,6 +454,11 @@ func (s *Store) pruneShard(idx int, horizon uint64, fold FoldFunc) int {
 		drop := len(ch.versions) == 0 && len(ch.pend) == 0
 		ch.mu.Unlock()
 		if drop {
+			if !bumped {
+				s.dropGen.Add(1)
+				bumped = true
+			}
+			s.unmarkRemoved(ck, ch)
 			delete(sh.chains, ck)
 			if s.m != nil {
 				s.m.Chains.Add(-1)

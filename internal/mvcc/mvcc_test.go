@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -108,13 +109,19 @@ func TestEscrowDeltasLayerOverFullImage(t *testing.T) {
 	}
 }
 
+// TestTrackedKeysRange: TrackedKeys lists only the tracked keys a tree scan
+// cannot see — those whose pinned operation removes them from the tree —
+// restricted to the range and the tree, sorted.
 func TestTrackedKeysRange(t *testing.T) {
 	s := NewStore(nil)
 	for _, k := range []string{"d", "b", "f"} {
-		rec := &wal.Record{Type: wal.TUpdate, Tree: 3, Key: tkey(k), NewVal: []byte("x")}
+		rec := &wal.Record{Type: wal.TDelete, Tree: 3, Key: tkey(k)}
 		s.Pin(3, tkey(k), rec, 7, preVal("y"))
 	}
-	other := &wal.Record{Type: wal.TUpdate, Tree: 4, Key: tkey("c"), NewVal: []byte("x")}
+	// An update keeps its key in the tree: tracked, but not indexed.
+	up := &wal.Record{Type: wal.TUpdate, Tree: 3, Key: tkey("c"), NewVal: []byte("x")}
+	s.Pin(3, tkey("c"), up, 7, preVal("y"))
+	other := &wal.Record{Type: wal.TDelete, Tree: 4, Key: tkey("c")}
 	s.Pin(4, tkey("c"), other, 7, preVal("y"))
 
 	keys := s.TrackedKeys(3, tkey("b"), tkey("f"))
@@ -123,6 +130,105 @@ func TestTrackedKeysRange(t *testing.T) {
 	}
 	if all := s.TrackedKeys(3, nil, nil); len(all) != 3 {
 		t.Fatalf("unbounded TrackedKeys = %q, want 3 keys", all)
+	}
+	if none := s.TrackedKeys(5, nil, nil); none != nil {
+		t.Fatalf("TrackedKeys of an untouched tree = %q, want none", none)
+	}
+}
+
+// TestRemovedKeysLeaveWithTheirChain: a removed key stays indexed exactly as
+// long as its chain lives — Prune and Evict take it out, and both advance
+// the drop generation first.
+func TestRemovedKeysLeaveWithTheirChain(t *testing.T) {
+	s := NewStore(nil)
+	for _, k := range []string{"a", "b"} {
+		rec := &wal.Record{Type: wal.TDelete, Tree: 1, Key: tkey(k)}
+		s.Pin(1, tkey(k), rec, 7, preVal("v"))
+		s.Stamp(1, tkey(k), rec, 5)
+	}
+	gen := s.DropGen()
+	// The deletes committed at 5: a snapshot at 4 still reads them, so a
+	// horizon of 4 keeps both chains and both index entries.
+	s.Prune(4, nil)
+	if got := s.TrackedKeys(1, nil, nil); len(got) != 2 || s.DropGen() != gen {
+		t.Fatalf("prune below the deletes: keys %q gen %d->%d, want both kept and gen unmoved", got, gen, s.DropGen())
+	}
+	if !s.Evict(1, tkey("a")) {
+		t.Fatal("evict of a quiescent chain refused")
+	}
+	if got := s.TrackedKeys(1, nil, nil); len(got) != 1 || string(got[0]) != "b" || s.DropGen() == gen {
+		t.Fatalf("after evicting a: keys %q gen %d, want [b] and a moved gen", got, s.DropGen())
+	}
+	gen = s.DropGen()
+	s.Prune(5, nil)
+	if got := s.TrackedKeys(1, nil, nil); len(got) != 0 || s.Chains() != 0 || s.DropGen() == gen {
+		t.Fatalf("after pruning past the deletes: keys %q chains %d gen moved %v", got, s.Chains(), s.DropGen() != gen)
+	}
+}
+
+// TestNoteRemovalIndexesOnlyVisibleChains: undoing an insert removes the key
+// from the tree. It needs indexing only when the chain still holds a version
+// a snapshot may read.
+func TestNoteRemovalIndexesOnlyVisibleChains(t *testing.T) {
+	s := NewStore(nil)
+	// A fresh insert seeded an absent base: nothing to read once undone.
+	fresh := &wal.Record{Type: wal.TInsert, Tree: 1, Key: tkey("a"), NewVal: []byte("v")}
+	s.Pin(1, tkey("a"), fresh, 7, preAbsent())
+	s.NoteRemoval(1, tkey("a"))
+	// A committed version under the undone insert stays readable.
+	old := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: tkey("b"), NewVal: []byte("v1")}
+	s.Pin(1, tkey("b"), old, 6, preAbsent())
+	s.Stamp(1, tkey("b"), old, 3)
+	s.NoteRemoval(1, tkey("b"))
+	// No chain at all: nothing to index.
+	s.NoteRemoval(1, tkey("c"))
+	if got := s.TrackedKeys(1, nil, nil); len(got) != 1 || string(got[0]) != "b" {
+		t.Fatalf("TrackedKeys = %q, want [b]", got)
+	}
+}
+
+// TestRemovedIndexAgainstBatchCopy walks the scan protocol at the store
+// level: copy a batch from a tree, then look up the removed keys of the
+// batch's range. A delete pinned before the copy is found only in the index;
+// one pinned between the copy and the lookup is found in both (the scan
+// merges equal keys); a chain dropped after the copy moves the generation.
+func TestRemovedIndexAgainstBatchCopy(t *testing.T) {
+	s := NewStore(nil)
+	tr := btree.New()
+	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		tr.Put(tkey(k), []byte("v"), false)
+	}
+	del := func(k string) *wal.Record {
+		rec := &wal.Record{Type: wal.TDelete, Tree: 1, Key: tkey(k)}
+		s.Pin(1, tkey(k), rec, 7, func() ([]byte, bool, bool) { return tr.Get(tkey(k)) })
+		tr.Delete(tkey(k))
+		return rec
+	}
+	del("b") // before the copy
+	var b btree.Batch
+	gen := s.DropGen()
+	tr.ScanBatch(&b, nil, nil, 3)
+	if b.Len() != 3 || string(b.Key(2)) != "d" || string(b.Next()) != "e" {
+		t.Fatalf("batch = %d keys ending %q, next %q; want a c d, next e", b.Len(), b.Key(b.Len()-1), b.Next())
+	}
+	delC := del("c") // after the copy, before the lookup
+	got := s.TrackedKeys(1, nil, b.Next())
+	if len(got) != 2 || string(got[0]) != "b" || string(got[1]) != "c" {
+		t.Fatalf("removed keys of [nil, e) = %q, want [b c]", got)
+	}
+	if s.DropGen() != gen {
+		t.Fatal("drop generation moved without a drop")
+	}
+	// Roll the c delete back and prune: its chain goes, and the generation
+	// tells the scan not to trust its copied c without re-reading it.
+	tr.Put(tkey("c"), []byte("v"), false)
+	s.Unpin(1, tkey("c"), delC)
+	s.Prune(0, nil)
+	if got := s.TrackedKeys(1, nil, nil); len(got) != 1 || string(got[0]) != "b" {
+		t.Fatalf("after the rollback and prune: removed keys %q, want [b]", got)
+	}
+	if s.DropGen() == gen {
+		t.Fatal("chain drop did not move the generation")
 	}
 }
 

@@ -83,10 +83,12 @@ type Engine interface {
 	// decoded entries and the next key to resume from (nil when the scan
 	// reached the end of the view).
 	Have(tree id.Tree, lo []byte, ts uint64, max int) (entries []verify.Entry, next []byte, err error)
-	// Want recomputes the view from its source relation at ts, returning the
-	// full expected contents (key-sorted, stored form) and the number of
-	// source rows read.
-	Want(tree id.Tree, ts uint64) (entries []verify.Entry, srcRows int, err error)
+	// Want recomputes the view's entries with lo <= key < hi (nil bounds are
+	// open) from its source relation at ts, returning them key-sorted in
+	// stored form, and the number of source rows read — every one of them,
+	// not only those that fall in the range, since each is charged against
+	// the row budget.
+	Want(tree id.Tree, ts uint64, lo, hi []byte) (entries []verify.Entry, srcRows int, err error)
 	// Report delivers a confirmed divergence (trace event, flight dump). The
 	// scrubber keeps running afterwards.
 	Report(d Divergence)
@@ -313,8 +315,8 @@ func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 }
 
 // slice verifies one (view, group-range) slice: scan up to max stored view
-// entries from st.cursor, recompute the expected contents from the source,
-// clip to the scanned range, and compare. On success the cursor advances (or
+// entries from st.cursor, recompute the expected contents of the scanned
+// range from the source, and compare. On success the cursor advances (or
 // the pass completes); a pair conflict discards the work.
 func (s *Scrubber) slice(v View, st *viewState, max int) sliceResult {
 	if v.Pair {
@@ -387,15 +389,14 @@ func (s *Scrubber) compareRange(v View, lo []byte, viewTS, srcTS uint64, max int
 	if err != nil {
 		return rangeOutcome{err: err}
 	}
-	want, srcRows, err := s.e.Want(v.Tree, srcTS)
+	want, srcRows, err := s.e.Want(v.Tree, srcTS, lo, next)
 	if err != nil {
 		return rangeOutcome{err: err}
 	}
-	expected := verify.Clip(want, lo, next)
 	return rangeOutcome{
 		rows:  srcRows + len(have),
 		next:  next,
-		diffs: verify.Compare(expected, have, maxDiffsPerSlice),
+		diffs: verify.Compare(want, have, maxDiffsPerSlice),
 	}
 }
 

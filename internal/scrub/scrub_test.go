@@ -105,10 +105,16 @@ func (e *fakeEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify
 	return out, next, nil
 }
 
-func (e *fakeEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) {
+func (e *fakeEngine) Want(tree id.Tree, ts uint64, lo, hi []byte) ([]verify.Entry, int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]verify.Entry(nil), e.src[tree]...), len(e.src[tree]), nil
+	var out []verify.Entry
+	for _, en := range e.src[tree] {
+		if (lo == nil || bytes.Compare(en.Key, lo) >= 0) && (hi == nil || bytes.Compare(en.Key, hi) < 0) {
+			out = append(out, en)
+		}
+	}
+	return out, len(e.src[tree]), nil
 }
 
 func (e *fakeEngine) Report(d Divergence) {

@@ -116,18 +116,3 @@ func Compare(want, have []Entry, max int) []Diff {
 	}
 	return diffs
 }
-
-// Clip returns the entries of es whose key lies in [lo, hi) — nil bounds
-// mean open ends. es must be key-sorted; the scrubber uses this to cut a
-// full recompute down to the slice it is verifying this tick.
-func Clip(es []Entry, lo, hi []byte) []Entry {
-	start := 0
-	for start < len(es) && lo != nil && record.CompareKeys(es[start].Key, lo) < 0 {
-		start++
-	}
-	end := start
-	for end < len(es) && (hi == nil || record.CompareKeys(es[end].Key, hi) < 0) {
-		end++
-	}
-	return es[start:end]
-}

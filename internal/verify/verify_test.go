@@ -55,19 +55,3 @@ func TestCompareMax(t *testing.T) {
 		t.Fatalf("cap not honored: got %d diffs", len(d))
 	}
 }
-
-func TestClip(t *testing.T) {
-	es := []Entry{ent("a", 1), ent("b", 2), ent("c", 3)}
-	lo := es[1].Key
-	hi := es[2].Key
-	got := Clip(es, lo, hi)
-	if len(got) != 1 || string(got[0].Key) != string(es[1].Key) {
-		t.Fatalf("clip [b,c): got %d entries", len(got))
-	}
-	if got := Clip(es, nil, nil); len(got) != 3 {
-		t.Fatalf("open clip: got %d", len(got))
-	}
-	if got := Clip(es, hi, nil); len(got) != 1 {
-		t.Fatalf("tail clip: got %d", len(got))
-	}
-}

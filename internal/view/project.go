@@ -17,16 +17,6 @@ type ProjectionEntry struct {
 // is the left table's PK values — plus the right table's for joins — so it
 // is unique and stable under updates to non-key columns.
 func (m *Maintainer) ProjectEntry(src record.Row) (ProjectionEntry, error) {
-	var keyRow record.Row
-	for _, pk := range m.Left.PK {
-		keyRow = append(keyRow, src[pk])
-	}
-	if m.Right != nil {
-		base := len(m.Left.Cols)
-		for _, pk := range m.Right.PK {
-			keyRow = append(keyRow, src[base+pk])
-		}
-	}
 	val := make(record.Row, len(m.V.ProjectCols))
 	for i, c := range m.V.ProjectCols {
 		if c < 0 || c >= len(src) {
@@ -34,7 +24,21 @@ func (m *Maintainer) ProjectEntry(src record.Row) (ProjectionEntry, error) {
 		}
 		val[i] = src[c]
 	}
-	return ProjectionEntry{Key: record.EncodeKey(keyRow), Val: val}, nil
+	return ProjectionEntry{Key: m.appendProjectionKey(nil, src), Val: val}, nil
+}
+
+// appendProjectionKey appends a source row's projection-view key to dst.
+func (m *Maintainer) appendProjectionKey(dst []byte, src record.Row) []byte {
+	for _, pk := range m.Left.PK {
+		dst = record.AppendKey(dst, src[pk])
+	}
+	if m.Right != nil {
+		base := len(m.Left.Cols)
+		for _, pk := range m.Right.PK {
+			dst = record.AppendKey(dst, src[base+pk])
+		}
+	}
+	return dst
 }
 
 // JoinSide tells JoinSources which table a changed row belongs to.

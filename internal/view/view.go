@@ -163,14 +163,18 @@ func (m *Maintainer) GroupRow(src record.Row) (record.Row, error) {
 // straight from the source columns (no intermediate group row), pre-sizing
 // for the common fixed-width kinds.
 func (m *Maintainer) GroupKey(src record.Row) ([]byte, error) {
-	key := make([]byte, 0, 9*len(m.V.GroupByCols))
+	return m.appendGroupKey(make([]byte, 0, 9*len(m.V.GroupByCols)), src)
+}
+
+// appendGroupKey is GroupKey appending to dst.
+func (m *Maintainer) appendGroupKey(dst []byte, src record.Row) ([]byte, error) {
 	for _, c := range m.V.GroupByCols {
 		if c < 0 || c >= len(src) {
 			return nil, fmt.Errorf("%w: group column %d of %d", ErrSchema, c, len(src))
 		}
-		key = record.AppendKey(key, src[c])
+		dst = record.AppendKey(dst, src[c])
 	}
-	return key, nil
+	return dst, nil
 }
 
 // Contribution is the effect of one source-row change on one aggregate.
